@@ -26,7 +26,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)), rngs_(cfg_.seed) {
   // The keyed table exists only on ycsb runs: an empty Table still reports
   // one data page, which would perturb every node's cache capacity (and the
   // golden TPC-C figures) if it were built unconditionally. Must happen
-  // before build_nodes() — capacities are sized from total_data_pages().
+  // before build_nodes(), which sizes every cache from total_data_pages().
   if (workload::is_ycsb(cfg_.workload_spec)) {
     db_->build_ycsb(cfg_.ycsb_records);
   }
@@ -143,6 +143,8 @@ void Cluster::build_topology() {
 }
 
 void Cluster::build_nodes() {
+  // One walk of the shared database sizes every node's cache.
+  const std::uint64_t db_pages = db_->total_data_pages();
   for (int i = 0; i < cfg_.nodes; ++i) {
     const int d = server_domain(i);
     sim::Engine& eng = domain_engine(d);
@@ -150,7 +152,7 @@ void Cluster::build_nodes() {
     std::uint64_t* clock =
         shards_ ? &node_scn_[static_cast<std::size_t>(i)] : &global_clock_;
     nodes_.push_back(std::make_unique<Node>(eng, cfg_, i, topo_->server_nic(i),
-                                            *db_, clock, rngs_));
+                                            *db_, db_pages, clock, rngs_));
   }
   for (int i = 0; i < cfg_.nodes; ++i) {
     const int d = server_domain(i);

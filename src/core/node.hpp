@@ -36,9 +36,12 @@ namespace dclue::core {
 
 class Node {
  public:
+  /// \p db_pages is db.total_data_pages(), counted once per database by the
+  /// caller after every table is loaded; the buffer cache holds
+  /// cfg.buffer_fraction of it (at least 64 pages).
   Node(sim::Engine& engine, const ClusterConfig& cfg, int id, net::Nic& nic,
-       db::TpccDatabase& db, std::uint64_t* global_clock,
-       const sim::RngFactory& rngs);
+       db::TpccDatabase& db, std::uint64_t db_pages,
+       std::uint64_t* global_clock, const sim::RngFactory& rngs);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 

@@ -16,6 +16,10 @@
 /// rather than a pointer-chasing recursive delete. A leaf whose last entry
 /// is erased is unlinked from the leaf chain and returned to the pool (its
 /// empty parent chain too), so iteration never revisits retired leaves.
+///
+/// A bulk load (begin_bulk_load / end_bulk_load) pays one O(leaves)
+/// eytzinger-mirror rebuild at its end instead of one per leaf split, which
+/// made loading quadratic in the leaf count.
 
 #include <algorithm>
 #include <array>
@@ -40,7 +44,7 @@ class BTree {
     first_leaf_ = root_;
     dir_keys_.push_back(Key{});  // sentinel: leaf 0 has no left separator
     dir_leaves_.push_back(root_);
-    rebuild_dir_et();
+    et_.resize(1);  // no separators yet: slot 0 is unused
   }
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
@@ -60,6 +64,18 @@ class BTree {
       r = root_;
     }
     insert_nonfull(r, key, value);
+  }
+
+  /// Open a bulk-load scope: leaf splits and retires keep the sorted
+  /// directory current but leave the eytzinger mirror stale, and lookups
+  /// route through the sorted directory until end_bulk_load(). Single-writer
+  /// only: the scope must close before concurrent readers exist.
+  void begin_bulk_load() { bulk_loading_ = true; }
+  /// Close the scope: rebuild the mirror once. Later splits and retires
+  /// rebuild it after every change again.
+  void end_bulk_load() {
+    bulk_loading_ = false;
+    rebuild_dir_et();
   }
 
   [[nodiscard]] std::optional<Value> find(Key key) const {
@@ -143,6 +159,8 @@ class BTree {
 
   /// Pool introspection for tests: nodes currently awaiting reuse.
   [[nodiscard]] std::size_t pooled_free_nodes() const { return free_.size(); }
+  /// Eytzinger mirror rebuilds since construction (tests).
+  [[nodiscard]] std::size_t directory_rebuilds() const { return rebuilds_; }
 
  private:
   // Fanout >= 4 means >= 2x growth per level; 64-bit key spaces cannot
@@ -321,6 +339,10 @@ class BTree {
   }
 
   [[nodiscard]] const Node* leaf_for(Key key) const {
+    // The mirror is stale inside a bulk-load scope; the sorted directory is
+    // always current. (Never rebuild here: const readers may run
+    // concurrently once sharded access is enabled.)
+    if (bulk_loading_) return dir_leaves_[leaf_index_for(key)];
     // Walk the same separator set laid out in BFS (eytzinger) order: the
     // children of slot k live at 2k / 2k+1, so the four grandchildren of
     // the current compare sit in at most two adjacent lines that one
@@ -449,7 +471,7 @@ class BTree {
                      right->keys[0]);
     dir_leaves_.insert(
         dir_leaves_.begin() + static_cast<std::ptrdiff_t>(idx) + 1, right);
-    rebuild_dir_et();
+    if (!bulk_loading_) rebuild_dir_et();
   }
 
   /// Drop retired leaf \p n (which \p key routed to) from the directory.
@@ -468,14 +490,15 @@ class BTree {
         merge_right && idx + 1 < dir_keys_.size() ? idx + 1 : idx;
     dir_keys_.erase(dir_keys_.begin() + static_cast<std::ptrdiff_t>(key_at));
     dir_leaves_.erase(dir_leaves_.begin() + static_cast<std::ptrdiff_t>(idx));
-    rebuild_dir_et();
+    if (!bulk_loading_) rebuild_dir_et();
   }
 
-  /// Re-derive the eytzinger mirror after a directory change. O(leaves),
-  /// like the vector insert/erase that precedes it; an in-order walk of the
-  /// implicit BST visits slots in ascending separator order, so filling
-  /// during that walk places sorted entry i at its BFS position.
+  /// Re-derive the eytzinger mirror after a directory change (or once at the
+  /// end of a bulk load). O(leaves); an in-order walk of the implicit BST
+  /// visits slots in ascending separator order, so filling during that walk
+  /// places sorted entry i at its BFS position.
   void rebuild_dir_et() {
+    ++rebuilds_;
     const std::size_t m = dir_leaves_.size() - 1;
     et_.resize(m + 1);
     std::size_t src = 1;
@@ -497,8 +520,10 @@ class BTree {
   /// separator to the left of leaf i ([0] is an unused sentinel). Lookups
   /// route through one branchless search of this array — a few KB that the
   /// find-heavy paths keep cache-hot — instead of a node descent whose
-  /// every level is a dependent cache miss. Maintained only at leaf split /
-  /// retire; inserts and erases still walk the tree.
+  /// every level is a dependent cache miss. Updated at every leaf split /
+  /// retire; the eytzinger mirror et_ follows after each change, except
+  /// inside a bulk-load scope, which rebuilds it once when it closes.
+  /// Inserts and erases still walk the tree.
   std::vector<Key> dir_keys_;
   std::vector<Node*> dir_leaves_;
   /// (separator, right leaf) pairs; 16 bytes so one line holds the four
@@ -512,7 +537,9 @@ class BTree {
   Node* first_leaf_ = nullptr;
   std::size_t size_ = 0;
   std::size_t leaf_count_ = 0;
+  std::size_t rebuilds_ = 0;
   int height_ = 1;
+  bool bulk_loading_ = false;  ///< et_ is stale; route via dir_keys_
 };
 
 }  // namespace dclue::db

@@ -206,5 +206,152 @@ TEST_P(BTreeFuzz, MatchesReferenceUnderMixedWorkload) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeFuzz, ::testing::Range(1, 9));
 
+// --- bulk-load scope ---------------------------------------------------------
+
+/// find() and lower_bound() agree with \p ref for every key in [0, span].
+template <typename Tree>
+void expect_routes_match(const Tree& t, const std::map<std::uint64_t, int>& ref,
+                         std::uint64_t span) {
+  for (std::uint64_t k = 0; k <= span; ++k) {
+    const auto hit = ref.find(k);
+    const auto got = t.find(k);
+    if (hit == ref.end()) {
+      ASSERT_FALSE(got.has_value()) << k;
+    } else {
+      ASSERT_TRUE(got.has_value()) << k;
+      ASSERT_EQ(*got, hit->second) << k;
+    }
+    const auto next = ref.lower_bound(k);
+    const auto it = t.lower_bound(k);
+    if (next == ref.end()) {
+      ASSERT_FALSE(it.valid()) << k;
+    } else {
+      ASSERT_TRUE(it.valid()) << k;
+      ASSERT_EQ(it.key(), next->first) << k;
+      ASSERT_EQ(it.value(), next->second) << k;
+    }
+  }
+}
+
+TEST(BTree, AscendingBulkLoadRebuildsDirectoryOnce) {
+  BTree<std::uint64_t, int> t;
+  EXPECT_EQ(t.directory_rebuilds(), 0u);
+  constexpr std::uint64_t kKeys = 1'000'000;
+  t.begin_bulk_load();
+  for (std::uint64_t k = 0; k < kKeys; ++k) t.insert(k, static_cast<int>(k));
+  EXPECT_GT(t.leaf_count(), kKeys / 64);
+  EXPECT_EQ(t.directory_rebuilds(), 0u);  // every split deferred
+  t.end_bulk_load();
+  EXPECT_EQ(t.directory_rebuilds(), 1u);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(*t.find(k), static_cast<int>(k)) << k;
+  }
+  EXPECT_FALSE(t.find(kKeys).has_value());
+}
+
+TEST(BTree, BulkLoadKeepsTreeShape) {
+  // The scope changes only when the directory mirror is rebuilt, not the
+  // split policy: both trees end with the same leaves and height.
+  BTree<std::uint64_t, int> plain;
+  BTree<std::uint64_t, int> bulk;
+  std::mt19937_64 rng(11);
+  bulk.begin_bulk_load();
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t k = i % 4 == 0 ? rng() % 1'000'000 : 1'000'000 + i;
+    plain.insert(k, i);
+    bulk.insert(k, i);
+  }
+  bulk.end_bulk_load();
+  EXPECT_EQ(bulk.leaf_count(), plain.leaf_count());
+  EXPECT_EQ(bulk.height(), plain.height());
+  EXPECT_EQ(bulk.size(), plain.size());
+  EXPECT_EQ(plain.directory_rebuilds(), plain.leaf_count() - 1);  // per split
+  EXPECT_EQ(bulk.directory_rebuilds(), 1u);
+}
+
+TEST(BTree, LookupsInsideAndAfterBulkLoadMatchReferenceMap) {
+  BTree<std::uint64_t, int, 8> t;  // small fanout: many splits
+  std::map<std::uint64_t, int> ref;
+  std::mt19937_64 rng(5);
+  constexpr std::uint64_t kSpan = 20'000;
+  t.begin_bulk_load();
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 3'000; ++i) {
+      const std::uint64_t k = rng() % kSpan;
+      t.insert(k, i);
+      ref[k] = i;
+    }
+    expect_routes_match(t, ref, kSpan);  // stale mirror: sorted directory routes
+  }
+  EXPECT_EQ(t.directory_rebuilds(), 0u);  // lookups never rebuild
+  t.end_bulk_load();
+  EXPECT_EQ(t.directory_rebuilds(), 1u);
+  expect_routes_match(t, ref, kSpan);
+}
+
+TEST(BTree, RuntimeSplitAfterBulkLoadRebuildsAndRoutes) {
+  BTree<std::uint64_t, int> t;
+  std::map<std::uint64_t, int> ref;
+  t.begin_bulk_load();
+  for (std::uint64_t k = 0; k < 20'000; k += 2) {
+    t.insert(k, 1);
+    ref[k] = 1;
+  }
+  t.end_bulk_load();
+  ASSERT_EQ(t.directory_rebuilds(), 1u);
+  // Odd keys into the middle of the packed leaves: each leaf split now
+  // rebuilds the mirror immediately.
+  const std::size_t leaves = t.leaf_count();
+  for (std::uint64_t k = 9'001; k < 11'000; k += 2) {
+    t.insert(k, 2);
+    ref[k] = 2;
+  }
+  const std::size_t splits = t.leaf_count() - leaves;
+  ASSERT_GT(splits, 0u);
+  EXPECT_EQ(t.directory_rebuilds(), 1u + splits);
+  expect_routes_match(t, ref, 20'001);
+}
+
+/// Mixed insert/erase inside the scope on the BTreeFuzz seeds: erases retire
+/// leaves while the mirror is stale, and routing stays consistent with a
+/// reference map throughout and after the scope closes.
+class BTreeBulkFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(BTreeBulkFuzz, RetiresInsideScopeKeepRoutingConsistent) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()));
+  BTree<std::uint64_t, int, 8> t;
+  std::map<std::uint64_t, int> ref;
+  constexpr std::uint64_t kSpan = 600;
+  t.begin_bulk_load();
+  for (int i = 0; i < 5'000; ++i) {
+    const std::uint64_t k = rng() % kSpan;
+    if (rng() % 3 == 0) {
+      EXPECT_EQ(t.erase(k), ref.erase(k) > 0);
+    } else {
+      t.insert(k, i);
+      ref[k] = i;
+    }
+    if (i % 500 == 0) expect_routes_match(t, ref, kSpan);
+  }
+  // Drain a range so whole leaves retire inside the scope.
+  for (std::uint64_t k = 100; k < 300; ++k) {
+    EXPECT_EQ(t.erase(k), ref.erase(k) > 0);
+  }
+  expect_routes_match(t, ref, kSpan);
+  EXPECT_GT(t.pooled_free_nodes(), 0u);
+  EXPECT_EQ(t.directory_rebuilds(), 0u);
+  t.end_bulk_load();
+  EXPECT_EQ(t.directory_rebuilds(), 1u);
+  expect_routes_match(t, ref, kSpan);
+  // Runtime inserts into the drained range follow the tree and the mirror.
+  for (std::uint64_t k = 100; k < 300; k += 3) {
+    t.insert(k, -1);
+    ref[k] = -1;
+  }
+  expect_routes_match(t, ref, kSpan);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BTreeBulkFuzz, ::testing::Range(1, 9));
+
 }  // namespace
 }  // namespace dclue::db

@@ -125,6 +125,76 @@ TEST(TpccDatabase, OldestNewOrderScanPerDistrict) {
   EXPECT_EQ(it.key(), key_wdo(1, 1, 7));
 }
 
+/// Every key the ordered walk of \p table yields is found by find_id() with
+/// the walked row id, and lower_bound() just past each key lands on the next
+/// one. Returns the number of keys walked.
+template <typename Row>
+std::size_t expect_index_consistent(const Table<Row>& table) {
+  std::size_t walked = 0;
+  auto it = table.lower_bound(0);
+  while (it.valid()) {
+    const Key key = it.key();
+    const auto id = table.find_id(key);
+    EXPECT_EQ(id, std::optional<RowId>(it.value()))
+        << table.spec().name << " key " << key;
+    EXPECT_EQ(table.lower_bound(key).key(), key) << table.spec().name;
+    ++walked;
+    it.next();
+    const auto after = table.lower_bound(key + 1);
+    EXPECT_EQ(after.valid(), it.valid()) << table.spec().name << " key " << key;
+    if (after.valid() && it.valid()) {
+      EXPECT_EQ(after.key(), it.key()) << table.spec().name << " key " << key;
+    }
+  }
+  EXPECT_EQ(walked, table.size()) << table.spec().name;
+  return walked;
+}
+
+TEST(TpccDatabase, PopulatedIndexesFindEveryLoadedKey) {
+  TpccScale scale;
+  scale.warehouses = 2;
+  scale.customers_per_district = 30;
+  scale.items = 200;
+  TpccDatabase db(scale);
+  sim::Rng rng(3);
+  db.populate(rng);
+  // Keys populate() derives from the scale alone.
+  for (std::int64_t i = 1; i <= scale.items; ++i) {
+    ASSERT_NE(db.item.find(key_i(i)), nullptr) << i;
+  }
+  for (std::int64_t w = 1; w <= scale.warehouses; ++w) {
+    ASSERT_NE(db.warehouse.find(key_w(w)), nullptr) << w;
+    for (std::int64_t i = 1; i <= scale.items; ++i) {
+      ASSERT_NE(db.stock.find(key_wi(w, i)), nullptr) << w << "/" << i;
+    }
+    for (std::int64_t d = 1; d <= scale.districts_per_warehouse; ++d) {
+      ASSERT_NE(db.district.find(key_wd(w, d)), nullptr) << w << "/" << d;
+      for (std::int64_t c = 1; c <= scale.customers_per_district; ++c) {
+        ASSERT_NE(db.customer.find(key_wdc(w, d, c)), nullptr) << c;
+      }
+      for (std::int64_t o = 1; o <= scale.initial_orders_per_district; ++o) {
+        const OrderRow* order = db.order.find(key_wdo(w, d, o));
+        ASSERT_NE(order, nullptr) << o;
+        for (std::int64_t ol = 1; ol <= order->ol_cnt; ++ol) {
+          ASSERT_NE(db.order_line.find(key_wdool(w, d, o, ol)), nullptr) << ol;
+        }
+      }
+    }
+  }
+  // Every walked key of every table, including the multi-leaf ones.
+  expect_index_consistent(db.warehouse);
+  expect_index_consistent(db.district);
+  EXPECT_GT(expect_index_consistent(db.customer), 64u * 8);
+  expect_index_consistent(db.history);
+  expect_index_consistent(db.new_order);
+  expect_index_consistent(db.order);
+  EXPECT_GT(expect_index_consistent(db.order_line), 64u * 64);
+  expect_index_consistent(db.item);
+  expect_index_consistent(db.stock);
+  db.build_ycsb(5'000);
+  EXPECT_EQ(expect_index_consistent(*db.ycsb), 5'000u);
+}
+
 TEST(TpccDatabase, TotalDataPagesIsPlausible) {
   TpccScale scale;
   TpccDatabase db(scale);

@@ -22,6 +22,27 @@ ClusterConfig tiny(int nodes, double affinity) {
   return cfg;
 }
 
+/// Every node's buffer cache holds buffer_fraction of the loaded database's
+/// page count (at least 64 pages).
+void expect_caches_sized_from_database(const ClusterConfig& cfg) {
+  Cluster cluster(cfg);
+  const auto expected = static_cast<std::size_t>(std::max<double>(
+      64.0, cfg.buffer_fraction *
+                static_cast<double>(cluster.database().total_data_pages())));
+  ASSERT_GT(expected, 64u);
+  for (int i = 0; i < cfg.nodes; ++i) {
+    EXPECT_EQ(cluster.node(i).cache().capacity(), expected) << "node " << i;
+  }
+}
+
+TEST(ClusterIntegration, NodeCachesSizedFromOneDatabasePageCount) {
+  expect_caches_sized_from_database(tiny(3, 1.0));
+  ClusterConfig ycsb = tiny(2, 1.0);
+  ycsb.workload_spec = "ycsb-b";
+  ycsb.ycsb_records = 20'000;  // the keyed table's pages count too
+  expect_caches_sized_from_database(ycsb);
+}
+
 TEST(ClusterIntegration, SingleNodeCommitsTransactions) {
   RunReport r = run_experiment(tiny(1, 1.0));
   EXPECT_GT(r.txns, 50.0);
