@@ -20,6 +20,12 @@
 /// definition, and touch — the per-access hot path — updates a single list.
 /// The page→slab index map is an open-addressing sim::FlatMap, so touch /
 /// insert-hit is one probe and a few index writes, no allocation.
+///
+/// Nothing here is sized from the capacity: the map and the slab grow with
+/// residency, and the capacity is only the eviction bound. A node's cache
+/// bound is a fraction of the whole database, but at affinity 1.0 the node
+/// holds about its own partition, so reserving for the bound would give
+/// every node an index for the whole database.
 
 #include <cstdint>
 #include <vector>
@@ -40,10 +46,9 @@ class BufferCache {
   /// Pages evicted by one insert; sized for the common single eviction.
   using EvictedList = sim::SmallVec<PageId, 4>;
 
-  explicit BufferCache(std::size_t capacity_pages) : capacity_(capacity_pages) {
-    map_.reserve(capacity_pages);
-    slab_.reserve(capacity_pages);
-  }
+  /// \p capacity_pages bounds residency (LRU eviction beyond it); it
+  /// reserves nothing. The index grows as pages become resident.
+  explicit BufferCache(std::size_t capacity_pages) : capacity_(capacity_pages) {}
 
   /// Is \p page resident with at least \p mode?
   [[nodiscard]] bool contains(PageId page, PageMode mode) const {
@@ -135,9 +140,13 @@ class BufferCache {
   /// with the unpinned list this advances by exactly 1 per eviction, pinned
   /// front or not).
   [[nodiscard]] obs::Counter& evict_scans() { return evict_scans_; }
+  /// Hash-table diagnostic behind `db.probe_len`. It moves with the index's
+  /// sizing (a sparser table probes shorter), so it is not a model quantity.
   [[nodiscard]] const sim::ProbeStats& probe_stats() const {
     return map_.probe_stats();
   }
+  /// Slots in the page index (tests): follows residency, not capacity().
+  [[nodiscard]] std::size_t index_slots() const { return map_.capacity(); }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -147,7 +156,7 @@ class BufferCache {
     std::uint32_t prev = kNil, next = kNil;    ///< resident recency list
     std::uint32_t uprev = kNil, unext = kNil;  ///< unpinned sublist
     std::uint32_t pins = 0;
-    std::uint32_t map_idx = 0;  ///< this page's slot in map_ (valid until rehash)
+    std::uint32_t map_idx = 0;  ///< this page's slot in map_ (re-derived per rehash)
     PageMode mode = PageMode::kShared;
   };
 
@@ -217,7 +226,9 @@ class BufferCache {
     free_.push_back(idx);
   }
 
-  /// Rebuild every entry's stored map slot index after a map rehash.
+  /// Rebuild every entry's stored map slot index after a map rehash. Every
+  /// map value must already name its slab slot: a placeholder value would
+  /// write its slot index into some other entry.
   void refresh_map_indices() {
     for (auto it = map_.begin(); it != map_.end(); ++it) {
       slab_[it->value].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
@@ -261,26 +272,28 @@ class BufferCache {
 
 inline BufferCache::EvictedList BufferCache::insert(PageId page, PageMode mode) {
   EvictedList evicted;
-  const std::size_t cap0 = map_.capacity();
-  auto [it, inserted] = map_.try_emplace(page, 0);
-  // The map is reserved to capacity up front and erases never move slots, so
-  // a rehash here is essentially unreachable — but if one happens, every
-  // stored slot index is stale and must be re-derived.
-  if (map_.capacity() != cap0) refresh_map_indices();
+  const std::size_t rehashes0 = map_.rehashes();
+  auto [it, inserted] = map_.try_emplace(page, kNil);
+  // A new page gets its slab slot first: the refresh below reads every map
+  // value, this one included.
+  if (inserted) it->value = alloc_entry(page, mode);
+  const std::uint32_t idx = it->value;
+  // As the index grows, any try_emplace (a hit too) may rehash and leave
+  // every stored slot index stale. Otherwise only the new page's slot needs
+  // recording: erases never move slots, so eviction erases through it
+  // without re-probing (see evict_one).
+  if (map_.rehashes() != rehashes0) {
+    refresh_map_indices();
+  } else if (inserted) {
+    slab_[idx].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
+  }
   if (!inserted) {
     // Resident: one probe covers the hit — upgrade in place and re-rank.
-    const std::uint32_t idx = it->value;
     if (mode == PageMode::kExclusive) slab_[idx].mode = PageMode::kExclusive;
     lru_.move_to_tail(slab_, idx);
     if (split_ && slab_[idx].pins == 0) unpinned_.move_to_tail(slab_, idx);
     return evicted;
   }
-  // Assign the slab slot and record where the map put this page before
-  // evicting: erases never move slots, so the recorded index lets eviction
-  // erase its victim without re-probing (see evict_one).
-  const std::uint32_t idx = alloc_entry(page, mode);
-  it->value = idx;
-  slab_[idx].map_idx = static_cast<std::uint32_t>(map_.index_of(it));
   while (map_.size() > capacity_) {
     PageId victim = evict_one();  // never the new page: it is list-linked below
     if (victim == 0) break;  // everything pinned; allow transient overcommit

@@ -31,7 +31,10 @@
 ///     element exactly once;
 ///   - references returned by find()/operator[] stay valid until the next
 ///     rehashing insert (unlike unordered_map's forever-stable nodes) — the
-///     call sites hold no references across inserts.
+///     call sites hold no references across inserts. Any try_emplace may
+///     rehash, a hit included: growth doubles the capacity, and a tombstone
+///     flush rehashes in place at the same capacity. `rehashes()` counts
+///     both, so callers that store slot indices can tell when to re-derive.
 ///
 /// Probe accounting (`probe_stats()`) counts *groups* examined per lookup;
 /// steps/ops near 1.0 means single-group probes. It feeds the
@@ -189,6 +192,8 @@ class FlatMap {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const ProbeStats& probe_stats() const { return probes_; }
+  /// Rehashes since construction, growth and in-place alike.
+  [[nodiscard]] std::size_t rehashes() const { return rehashes_; }
 
   [[nodiscard]] iterator find(const Key& key) {
     const std::size_t i = find_index(key);
@@ -276,7 +281,8 @@ class FlatMap {
 
   /// Stable slot index of \p it, valid until the next rehash (erases never
   /// move slots). Callers that key other structures by slot index must
-  /// re-derive after any capacity() change.
+  /// re-derive after any change of rehashes() — capacity() alone misses an
+  /// in-place rehash.
   [[nodiscard]] std::size_t index_of(const_iterator it) const {
     return it.i_;
   }
@@ -422,6 +428,7 @@ class FlatMap {
         new_capacity * sizeof(Slot), std::align_val_t{alignof(Slot)}));
     advise_huge(slots_, new_capacity * sizeof(Slot));
     capacity_ = new_capacity;
+    ++rehashes_;
     mask_ = new_capacity - 1;
     gmask_ = (new_capacity >> kGroupShift) - 1;
     filled_ = size_;
@@ -475,6 +482,7 @@ class FlatMap {
     gmask_ = std::exchange(o.gmask_, 0);
     size_ = std::exchange(o.size_, 0);
     filled_ = std::exchange(o.filled_, 0);
+    rehashes_ = std::exchange(o.rehashes_, 0);
     probes_ = std::exchange(o.probes_, ProbeStats{});
   }
 
@@ -485,6 +493,7 @@ class FlatMap {
   std::size_t gmask_ = 0;  ///< group count - 1
   std::size_t size_ = 0;
   std::size_t filled_ = 0;  ///< occupied + tombstoned slots
+  std::size_t rehashes_ = 0;
   mutable ProbeStats probes_;
 };
 

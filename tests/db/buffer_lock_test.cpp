@@ -123,6 +123,115 @@ TEST(BufferCache, TouchWhilePinnedKeepsRecencyForLater) {
   EXPECT_EQ(evicted[0], pg(2));
 }
 
+// The page index grows with residency, so inserts rehash it and every
+// stored slot index (the one eviction erases through) must be re-derived.
+class BufferCacheGrowth : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BufferCacheGrowth, EvictsThroughStoredSlotsAcrossGrowth) {
+  const std::size_t cap = GetParam();
+  BufferCache c(cap);
+  std::size_t growths = 0;
+  std::size_t slots = c.index_slots();
+  std::size_t wrong_victims = 0;
+  for (std::size_t i = 0; i < 3 * cap; ++i) {
+    const auto evicted = c.insert(pg(i), PageMode::kShared);
+    if (c.index_slots() != slots) {
+      ++growths;
+      slots = c.index_slots();
+    }
+    if (i < cap) {
+      wrong_victims += evicted.size();
+    } else {
+      wrong_victims += evicted.size() != 1 || evicted[0] != pg(i - cap);
+    }
+  }
+  EXPECT_GE(growths, 3u);
+  EXPECT_EQ(wrong_victims, 0u);
+  EXPECT_EQ(c.size(), cap);
+  // Exactly the last `cap` pages are resident.
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < 3 * cap; ++i) {
+    mismatches += c.resident(pg(i)) != (i >= 2 * cap);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST_P(BufferCacheGrowth, PinAndInvalidateAcrossGrowth) {
+  const std::size_t cap = GetParam();
+  BufferCache c(cap);
+  c.insert(pg(0), PageMode::kShared);
+  c.pin(pg(0));
+  c.insert(pg(1), PageMode::kShared);
+  const std::size_t slots0 = c.index_slots();
+  for (std::size_t i = 2; i < cap; ++i) c.insert(pg(i), PageMode::kShared);
+  ASSERT_GT(c.index_slots(), slots0);  // both pages predate a growth step
+  EXPECT_TRUE(c.invalidate(pg(1)));
+  EXPECT_FALSE(c.resident(pg(1)));
+  EXPECT_EQ(c.size(), cap - 1);
+  // Refill, then churn: the pinned coldest page is skipped, and victims
+  // follow recency from pg(2) on.
+  c.insert(pg(cap), PageMode::kShared);
+  for (std::size_t i = 1; i <= cap / 2; ++i) {
+    const auto evicted = c.insert(pg(cap + i), PageMode::kShared);
+    ASSERT_EQ(evicted.size(), 1u) << i;
+    EXPECT_EQ(evicted[0], pg(1 + i)) << i;
+  }
+  EXPECT_TRUE(c.resident(pg(0)));
+  c.unpin(pg(0));
+  const std::size_t last = cap + cap / 2 + 1;
+  const auto evicted = c.insert(pg(last), PageMode::kShared);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0], pg(0));  // unpinned, it is the coldest again
+  EXPECT_EQ(c.size(), cap);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i <= last; ++i) {
+    mismatches += c.resident(pg(i)) != (i >= cap / 2 + 2);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, BufferCacheGrowth,
+                         ::testing::Values(100, 1000, 5000));
+
+TEST(BufferCache, IndexSizedByResidencyNotCapacity) {
+  BufferCache c(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < 1000; ++i) c.insert(pg(i), PageMode::kShared);
+  EXPECT_EQ(c.size(), 1000u);
+  // 1,000 entries under the map's 7/8 load cap fit 2,048 slots.
+  EXPECT_GE(c.index_slots(), 1000u);
+  EXPECT_LE(c.index_slots(), 2048u);
+}
+
+TEST(BufferCache, InPlaceIndexRehashKeepsEvictionSlots) {
+  // A tombstone flush rehashes the index without changing its size; stored
+  // slot indices go stale all the same. Pages are picked by home group in
+  // the 32-slot index (white-box: 16-slot groups, 7/8 load cap).
+  auto homed_at = [](std::size_t group, std::size_t n) {
+    std::vector<PageId> pages;
+    for (std::uint64_t k = 1; pages.size() < n; ++k) {
+      if (((sim::FlatHash64{}(pg(k)) & 31) >> 4) == group) pages.push_back(pg(k));
+    }
+    return pages;
+  };
+  const auto a = homed_at(0, 16);
+  const auto b = homed_at(1, 16);
+  BufferCache c(16);
+  for (auto p : a) c.insert(p, PageMode::kShared);
+  ASSERT_EQ(c.index_slots(), 32u);
+  // Group 0 is packed: these invalidations leave 15 tombstones.
+  for (std::size_t i = 0; i + 1 < a.size(); ++i) ASSERT_TRUE(c.invalidate(a[i]));
+  // The 13th of these flushes them in place; the rest fill to capacity.
+  for (std::size_t i = 0; i < 15; ++i) c.insert(b[i], PageMode::kShared);
+  ASSERT_EQ(c.index_slots(), 32u);
+  // Over capacity: the coldest page goes, erased through its stored slot.
+  const auto evicted = c.insert(b[15], PageMode::kShared);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0], a.back());
+  EXPECT_FALSE(c.resident(a.back()));
+  EXPECT_EQ(c.size(), 16u);
+  for (auto p : b) EXPECT_TRUE(c.resident(p));
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(LockManager, TryAcquireConflictsAndReentrancy) {

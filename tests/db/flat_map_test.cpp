@@ -153,6 +153,41 @@ TEST(FlatMap, EraseAtStoredIndexMatchesEraseByKey) {
   }
 }
 
+/// Keys whose home group is \p group in a 32-slot (two-group) table.
+std::vector<std::uint64_t> keys_homed_at(std::size_t group, std::size_t n,
+                                         std::uint64_t from = 1) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = from; keys.size() < n; ++k) {
+    if (((FlatHash64{}(k) & 31) >> 4) == group) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(FlatMap, RehashesCountsInPlaceTombstoneFlush) {
+  // Callers that store slot indices re-derive them when rehashes() moves; a
+  // tombstone flush rehashes at the same capacity, so capacity() alone
+  // cannot tell them.
+  FlatMap<std::uint64_t, int> m;
+  m.reserve(20);
+  ASSERT_EQ(m.capacity(), 32u);
+  EXPECT_EQ(m.rehashes(), 1u);
+  // Pack group 0, then erase 15 of its 16 keys: a packed group tombstones.
+  const auto a = keys_homed_at(0, 16);
+  for (auto k : a) m.try_emplace(k, 0);
+  for (std::size_t i = 0; i + 1 < a.size(); ++i) m.erase(a[i]);
+  // 12 more keys in group 1 bring occupied + tombstoned slots to the 7/8
+  // cap while live entries stay at 13, under half of it.
+  const auto b = keys_homed_at(1, 13);
+  for (std::size_t i = 0; i < 12; ++i) m.try_emplace(b[i], 1);
+  EXPECT_EQ(m.rehashes(), 1u);
+  m.try_emplace(b[12], 1);  // flushes the tombstones in place
+  EXPECT_EQ(m.capacity(), 32u);
+  EXPECT_EQ(m.rehashes(), 2u);
+  EXPECT_EQ(m.size(), 14u);
+  EXPECT_TRUE(m.contains(a.back()));
+  for (auto k : b) EXPECT_TRUE(m.contains(k)) << k;
+}
+
 TEST(FlatMap, NonTrivialMappedTypeSurvivesRehash) {
   FlatMap<std::uint64_t, std::string> m;
   for (std::uint64_t i = 0; i < 500; ++i) {
