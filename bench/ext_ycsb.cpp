@@ -16,46 +16,19 @@
 /// The binary overrides global operator new for the probes, so it must not
 /// link google-benchmark (see micro_datapath.cpp).
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <new>
 #include <string>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/bench_util.hpp"
 #include "db/buffer_cache.hpp"
 #include "db/mvcc.hpp"
 #include "db/tpcc_schema.hpp"
 #include "sim/key_chooser.hpp"
 #include "workload/ycsb.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation-counting hook. Relaxed atomic: the Scenario sweep at the end of
-// main() runs points on pool threads, after the single-threaded probe phase
-// has already snapshotted its windows.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_calls{0};
-std::uint64_t allocs() { return g_alloc_calls.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -83,7 +56,7 @@ ProbeResult probe_chooser(std::uint64_t ops) {
   double t0 = 0.0;
   for (std::uint64_t i = 0; i < ops; ++i) {
     if (i == warm) {
-      a0 = allocs();
+      a0 = bench::alloc_calls();
       t0 = cpu_seconds();
     }
     sink += chooser.next();
@@ -93,7 +66,7 @@ ProbeResult probe_chooser(std::uint64_t ops) {
   ProbeResult r;
   r.ops_per_sec = static_cast<double>(ops - warm) / secs;
   r.allocs_per_op =
-      static_cast<double>(allocs() - a0) / static_cast<double>(ops - warm);
+      static_cast<double>(bench::alloc_calls() - a0) / static_cast<double>(ops - warm);
   return r;
 }
 
@@ -114,7 +87,7 @@ ProbeResult probe_opgen(std::uint64_t ops) {
   double t0 = 0.0;
   for (std::uint64_t i = 0; i < ops; ++i) {
     if (i == warm) {
-      a0 = allocs();
+      a0 = bench::alloc_calls();
       t0 = cpu_seconds();
     }
     now += 1e-4;
@@ -126,7 +99,7 @@ ProbeResult probe_opgen(std::uint64_t ops) {
   ProbeResult r;
   r.ops_per_sec = static_cast<double>(ops - warm) / secs;
   r.allocs_per_op =
-      static_cast<double>(allocs() - a0) / static_cast<double>(ops - warm);
+      static_cast<double>(bench::alloc_calls() - a0) / static_cast<double>(ops - warm);
   return r;
 }
 
@@ -170,7 +143,7 @@ ProbeResult probe_row_path(std::uint64_t ops) {
   double t0 = 0.0;
   for (std::uint64_t i = 0; i < ops; ++i) {
     if (i == warm) {
-      a0 = allocs();
+      a0 = bench::alloc_calls();
       t0 = cpu_seconds();
     }
     const db::Key key = db::key_ycsb(chooser.next());
@@ -186,7 +159,7 @@ ProbeResult probe_row_path(std::uint64_t ops) {
   ProbeResult r;
   r.ops_per_sec = static_cast<double>(ops - warm) / secs;
   r.allocs_per_op =
-      static_cast<double>(allocs() - a0) / static_cast<double>(ops - warm);
+      static_cast<double>(bench::alloc_calls() - a0) / static_cast<double>(ops - warm);
   return r;
 }
 

@@ -24,38 +24,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <new>
 
+#include "bench/alloc_hook.hpp"
 #include "net/tcp.hpp"
 #include "net/topology.hpp"
 #include "sim/task.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation-counting hook (whole binary; the workloads below snapshot it
-// around measurement windows).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::uint64_t g_alloc_calls = 0;
-std::uint64_t g_alloc_bytes = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_alloc_calls;
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) {
-  ++g_alloc_calls;
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -117,10 +90,10 @@ BulkResult run_bulk(sim::Bytes total) {
     conn->set_rx_handler([&, total](sim::Bytes n) {
       got += n;
       if (s0 == 0 && got >= total / 4) {
-        a0 = g_alloc_calls;
+        a0 = bench::alloc_calls();
         s0 = h.segments();
       } else if (s1 == 0 && got >= total - total / 20) {
-        a1 = g_alloc_calls;
+        a1 = bench::alloc_calls();
         s1 = h.segments();
       }
     });

@@ -27,38 +27,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <new>
 
+#include "bench/alloc_hook.hpp"
 #include "cluster/directory.hpp"
 #include "db/buffer_cache.hpp"
 #include "db/btree.hpp"
 #include "db/lock_manager.hpp"
 #include "db/mvcc.hpp"
 #include "sim/task.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation-counting hook (whole binary; the workloads below snapshot it
-// around measurement windows).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::uint64_t g_alloc_calls = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_alloc_calls;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) {
-  ++g_alloc_calls;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -127,7 +103,7 @@ MixResult run_mix(std::uint64_t ops) {
   double t0 = 0.0;
   for (std::uint64_t i = 0; i < ops; ++i) {
     if (i == warm) {
-      a0 = g_alloc_calls;
+      a0 = bench::alloc_calls();
       t0 = cpu_seconds();
     }
     const std::uint64_t r = rng.next();
@@ -178,7 +154,7 @@ MixResult run_mix(std::uint64_t ops) {
   MixResult res;
   res.ops_per_sec = static_cast<double>(counted) / secs;
   res.allocs_per_op =
-      static_cast<double>(g_alloc_calls - a0) / static_cast<double>(counted);
+      static_cast<double>(bench::alloc_calls() - a0) / static_cast<double>(counted);
   return res;
 }
 
@@ -200,16 +176,16 @@ AllocProbes run_alloc_probes() {
     db::BufferCache cache(1024);
     for (std::uint64_t p = 0; p < 1024; ++p) cache.insert(pg(p), db::PageMode::kShared);
     Lcg rng;
-    const std::uint64_t a0 = g_alloc_calls;
+    const std::uint64_t a0 = bench::alloc_calls();
     for (std::uint64_t i = 0; i < kOps; ++i) cache.touch(pg(rng.next() % 1024));
     probes.touch =
-        static_cast<double>(g_alloc_calls - a0) / static_cast<double>(kOps);
-    const std::uint64_t a1 = g_alloc_calls;
+        static_cast<double>(bench::alloc_calls() - a0) / static_cast<double>(kOps);
+    const std::uint64_t a1 = bench::alloc_calls();
     for (std::uint64_t i = 0; i < kOps; ++i) {
       cache.insert(pg(rng.next() % 1024), db::PageMode::kShared);
     }
     probes.insert_hit =
-        static_cast<double>(g_alloc_calls - a1) / static_cast<double>(kOps);
+        static_cast<double>(bench::alloc_calls() - a1) / static_cast<double>(kOps);
   }
   {
     sim::Engine engine;
@@ -220,13 +196,13 @@ AllocProbes run_alloc_probes() {
       const db::LockName name = rng.next() % 1024;
       if (locks.try_acquire(name, 1)) locks.release(name, 1);
     }
-    const std::uint64_t a0 = g_alloc_calls;
+    const std::uint64_t a0 = bench::alloc_calls();
     for (std::uint64_t i = 0; i < kOps; ++i) {
       const db::LockName name = rng.next() % 1024;
       if (locks.try_acquire(name, 1)) locks.release(name, 1);
     }
     probes.lock_uncontended =
-        static_cast<double>(g_alloc_calls - a0) / static_cast<double>(kOps);
+        static_cast<double>(bench::alloc_calls() - a0) / static_cast<double>(kOps);
   }
   return probes;
 }
@@ -254,10 +230,10 @@ struct LockWaitState {
   void note_op() {
     ++ops;
     if (win_op0 == 0 && ops >= target_ops / 4) {
-      win_a0 = g_alloc_calls;
+      win_a0 = bench::alloc_calls();
       win_op0 = ops;
     } else if (win_op1 == 0 && ops >= target_ops - target_ops / 20) {
-      win_a1 = g_alloc_calls;
+      win_a1 = bench::alloc_calls();
       win_op1 = ops;
     }
   }

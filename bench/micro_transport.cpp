@@ -25,41 +25,14 @@
 #include <cstring>
 #include <ctime>
 #include <memory>
-#include <new>
 
+#include "bench/alloc_hook.hpp"
 #include "net/rdma.hpp"
 #include "net/tcp.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
 #include "proto/channel.hpp"
 #include "sim/task.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation-counting hook (whole binary; the workloads below snapshot it
-// around measurement windows).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::uint64_t g_alloc_calls = 0;
-std::uint64_t g_alloc_bytes = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_alloc_calls;
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) {
-  ++g_alloc_calls;
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -137,10 +110,10 @@ StreamResult run_stream(net::TransportKind kind, int msgs) {
       if (m.type != 1) break;  // closed/reset sentinel
       ++received;
       if (m0 == 0 && received >= msgs / 4) {
-        a0 = g_alloc_calls;
+        a0 = bench::alloc_calls();
         m0 = static_cast<std::uint64_t>(received);
       } else if (m1 == 0 && received >= msgs - msgs / 20) {
-        a1 = g_alloc_calls;
+        a1 = bench::alloc_calls();
         m1 = static_cast<std::uint64_t>(received);
       }
       if (received == msgs) done_at = h.engine.now();

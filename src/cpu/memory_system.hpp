@@ -9,8 +9,10 @@
 ///
 /// The effective CPI is a fixed point: more stalls -> higher CPI -> lower
 /// instruction (and therefore miss) rate -> less bus queueing -> fewer
-/// stalls. We solve it by damped iteration each time the inputs (busy cores,
-/// active threads, class mix) change materially.
+/// stalls. We solve it by damped iteration whenever any input (busy cores,
+/// active threads, class mix) has changed at all since the last solve. Every
+/// completed slice updates the class mix, so in practice that is once per
+/// dispatch.
 
 #include <array>
 

@@ -125,13 +125,6 @@ class Table {
     if (!guard_) guard_ = std::make_unique<std::mutex>();
   }
 
-  /// Bulk-load scope of the primary index (BTree::begin_bulk_load): splits
-  /// skip the per-split directory-mirror rebuild and the scope's end does it
-  /// once. Lookups stay correct inside the scope. Close it before
-  /// enable_concurrent_access() readers start.
-  void begin_bulk_load() { index_.begin_bulk_load(); }
-  void end_bulk_load() { index_.end_bulk_load(); }
-
   RowId insert(Key key, Row row) {
     auto lock = maybe_lock();
     RowId id;

@@ -1,34 +1,8 @@
 #include "db/tpcc_schema.hpp"
 
-#include <tuple>
-
 namespace dclue::db {
-namespace {
-
-/// Holds the given tables' indexes in a bulk-load scope for its lifetime:
-/// the load pays one directory-mirror rebuild per table, at scope exit,
-/// instead of one per leaf split.
-template <typename... Tables>
-class BulkLoadScope {
- public:
-  explicit BulkLoadScope(Tables&... tables) : tables_(tables...) {
-    std::apply([](auto&... t) { (t.begin_bulk_load(), ...); }, tables_);
-  }
-  ~BulkLoadScope() {
-    std::apply([](auto&... t) { (t.end_bulk_load(), ...); }, tables_);
-  }
-  BulkLoadScope(const BulkLoadScope&) = delete;
-  BulkLoadScope& operator=(const BulkLoadScope&) = delete;
-
- private:
-  std::tuple<Tables&...> tables_;
-};
-
-}  // namespace
 
 void TpccDatabase::populate(sim::Rng& rng) {
-  const BulkLoadScope bulk(warehouse, district, customer, history, new_order,
-                           order, order_line, item, stock);
   for (std::int64_t i = 1; i <= scale_.items; ++i) {
     item.insert(key_i(i), ItemRow{rng.uniform(1.0, 100.0)});
   }
@@ -79,7 +53,6 @@ void TpccDatabase::populate(sim::Rng& rng) {
 void TpccDatabase::build_ycsb(std::int64_t records) {
   ycsb = std::make_unique<Table<YcsbRow>>(TpccSpecs::ycsb);
   ycsb_records_ = records;
-  const BulkLoadScope bulk(*ycsb);
   for (std::int64_t k = 0; k < records; ++k) {
     ycsb->insert(key_ycsb(k), YcsbRow{});
   }

@@ -28,13 +28,14 @@ namespace detail {
 /// recycle frames instead of hitting malloc per spawned activity (the
 /// datapath creates several per simulated segment). The sized delete gives
 /// the pool the class back without a header.
+///
+/// Both are defined out of line (task.cpp), so a coroutine's ramp and its
+/// cleanup path call this pair by name. Inlined, the pool's ::operator new
+/// would meet the class-scope delete in the ramp's cleanup, a pairing that
+/// GCC reports as a mismatched new/delete.
 struct PooledFrame {
-  static void* operator new(std::size_t n) {
-    return FramePool::local().allocate(n);
-  }
-  static void operator delete(void* p, std::size_t n) noexcept {
-    FramePool::local().deallocate(p, n);
-  }
+  static void* operator new(std::size_t n);
+  static void operator delete(void* p, std::size_t n) noexcept;
 };
 
 struct PromiseBase : PooledFrame {

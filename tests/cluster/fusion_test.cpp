@@ -253,11 +253,11 @@ TEST(Fusion, RemoteLockWaitBlocksUntilRelease) {
   Harness h;
   const db::LockName name = db::lock_name(pg(3), 0);  // home = node 1
   sim::Time granted_at = -1.0;
-  sim::spawn([](Harness& h, db::LockName name, sim::Time& t) -> sim::Task<void> {
+  sim::spawn([](Harness& h, db::LockName name) -> sim::Task<void> {
     co_await h.fusion(1).lock_try(name, 1, 1);  // holder (local at node 1)
     co_await sim::delay_for(h.engine, 5.0);
     co_await h.fusion(1).lock_release(name, 1, 1);
-  }(h, name, granted_at));
+  }(h, name));
   sim::spawn([](Harness& h, db::LockName name, sim::Time& t) -> sim::Task<void> {
     co_await sim::delay_for(h.engine, 2.0);
     const bool ok = co_await h.fusion(0).lock_wait(name, 1, 2);  // remote wait

@@ -1,5 +1,5 @@
-/// Range-scan battery for the B+-tree: cross-leaf iteration routed through
-/// the eytzinger leaf directory, empty ranges, scans spanning erased and
+/// Range-scan battery for the B+-tree: cross-leaf iteration from a
+/// lower_bound descent, empty ranges, scans spanning erased and
 /// unlinked leaves, and scan-vs-MVCC visibility (the YCSB scan op walks a
 /// key range and charges chain_hops per row — see workload/ycsb.cpp).
 /// A small fanout (4) forces multi-level trees and many leaves at tiny key
@@ -109,8 +109,8 @@ TEST(BTreeScan, ScanAfterErasingPrefixAndDrain) {
 
 TEST(BTreeScan, DirectoryMatchesReferenceUnderChurn) {
   // Interleaved random inserts and erases, then every lower_bound answer is
-  // checked against std::map — exercising the eytzinger directory rebuilds
-  // from both leaf splits and leaf retirements.
+  // checked against std::map — exercising lookup routing after both leaf
+  // splits and leaf retirements.
   SmallTree t;
   std::map<std::uint64_t, int> ref;
   std::mt19937_64 rng(2026);
